@@ -12,8 +12,8 @@
 //! windows the fault destroyed ([`FaultEvent::SkipWindows`]).
 //!
 //! The plan is inert by default ([`FaultPlan::default`]): every knob
-//! zeroed, no events — the workflow then takes the exact legacy code
-//! paths.
+//! zeroed, no events — the transport then carries no chaos and the
+//! learner's checkpoint and kill hooks are no-ops.
 
 use as_cluster::comm::CommFaults;
 
@@ -116,7 +116,7 @@ pub struct FaultPlan {
 
 impl Default for FaultPlan {
     /// The inert plan: no chaos, no events, no checkpoints — the
-    /// workflow runs its exact legacy code paths.
+    /// workflow runs its plain transport and healthy learner group.
     fn default() -> Self {
         Self {
             seed: 0,

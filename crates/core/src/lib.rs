@@ -17,7 +17,8 @@
 //!   parallel data streams are opened between PIConGPU and the MLapp");
 //! - [`consumer`] receives both streams, encodes sub-volume point clouds
 //!   and log-spectra, feeds the experience-replay buffer and trains the
-//!   VAE+INN `n_rep` iterations per streamed step;
+//!   VAE+INN `n_rep` iterations per streamed step — one learner loop for
+//!   every learner-group size and fault plan;
 //! - [`noop`] is the synthetic no-op consumer of §IV-B used for the
 //!   streaming scaling study (it only measures and discards);
 //! - [`workflow`] wires M producer ranks and K consumer ranks together
@@ -26,7 +27,7 @@
 //!   slab shards of one distributed KHI box publishing on a shared
 //!   multi-writer stream pair, consumers train data-parallel with
 //!   gradients averaged every iteration (`WorkflowConfig::{producers,
-//!   consumers}`; `1×1` is the exact legacy single-thread-each path).
+//!   consumers}`; a single learner is a 1-rank learner world).
 //!
 //! # Streaming contracts
 //!

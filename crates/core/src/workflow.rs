@@ -12,13 +12,15 @@
 //!   stream regardless of M.
 //! - **K consumers** (`WorkflowConfig::consumers`): each learner rank has
 //!   its own [`as_staging::engine::SstReader`] pair and a collective
-//!   endpoint ([`as_cluster::collective::Collective`]). SST delivers
+//!   endpoint ([`as_cluster::collective::Collective`]) and runs the one
+//!   learner loop, [`crate::consumer::run_consumer`]. SST delivers
 //!   every step to every reader; the round-robin owner (`window % K`)
 //!   fetches the payload into its rank-local replay buffer, and training
 //!   is synchronous DDP: gradients averaged every iteration through
 //!   [`as_nn::ddp::sync_gradients_bucketed`] (or its non-blocking
 //!   comm-worker twin under [`WorkflowConfig::overlap_grad_sync`]),
 //!   parameters bit-identical across ranks (asserted every iteration).
+//!   K = 1 is a 1-rank learner world, whose collectives move nothing.
 //!
 //! The transport behind every endpoint is the
 //! [`crate::config::CommBackend`] knob: in-process channels, or the
@@ -26,9 +28,8 @@
 //! costs while keeping numerics bit-identical (see
 //! `tests/comm_backends.rs`).
 //!
-//! `producers = consumers = 1` dispatches to the original single-domain
-//! producer and single-rank consumer code paths, bit-for-bit — existing
-//! 1×1 runs keep their exact semantics (and seeds).
+//! `producers = 1` runs the single-domain producer (no producer world)
+//! instead of a 1-slab distributed simulation.
 //!
 //! Consumer pacing follows [`crate::config::ConsumerPolicy`]: blocking
 //! every-step (back-pressure throttles the producers) or `DropSteps`
@@ -43,23 +44,18 @@
 //! [`crate::faults::FaultPlan`]). With an **active** plan the driver:
 //! arms every collective world with the plan's deterministic message
 //! chaos (seeded drop/delay/duplicate — chaos only *delays* traffic);
-//! routes consumers through the fault-tolerant drivers
-//! ([`crate::consumer::run_consumer_ft`] /
-//! [`crate::consumer::run_ddp_consumer_ft`]: learner
+//! the learner loop switches to its fault-tolerant membership (learner
 //! checkpoint/restart, membership-aware collectives that condemn a
 //! silent rank within a bounded budget and re-form the shrunk group);
 //! opens **monitored** streams so windows stranded behind a dead rank's
 //! departed readers are counted into [`WorkflowReport::lost_windows`];
 //! and captures rank panics (injected kills included) as
 //! [`RankFailure`] entries instead of tearing down the orchestrator.
-//! With the default inert plan the legacy zero-overhead paths run
-//! bit-for-bit.
+//! With the default inert plan the worlds carry no chaos and the fault
+//! hooks are no-ops.
 
 use crate::config::{CommBackend, Placement, WorkflowConfig};
-use crate::consumer::{
-    run_consumer_ft_serving, run_consumer_serving, run_ddp_consumer_ft_serving,
-    run_ddp_consumer_serving, ConsumerReport,
-};
+use crate::consumer::{run_consumer, ConsumerReport};
 use crate::faults::InjectedFault;
 use crate::producer::{run_producer, run_sharded_producer, ProducerReport};
 use crate::snapshot::SnapshotSink;
@@ -413,8 +409,7 @@ pub fn run_workflow(cfg: &WorkflowConfig) -> WorkflowReport {
 /// the learner publishes immutable versioned
 /// [`crate::snapshot::ModelSnapshot`]s to it every `publish_every`
 /// training iterations (the `as-serve` inference engine hot-swaps them
-/// in mid-traffic). With `None` the run is the legacy workflow
-/// bit-for-bit.
+/// in mid-traffic). Publishing never changes the training trajectory.
 pub fn run_workflow_with_sink(
     cfg: &WorkflowConfig,
     sink: Option<Arc<dyn SnapshotSink>>,
@@ -497,7 +492,6 @@ where
     cfg.validate_topology();
     let m = cfg.producers;
     let k = cfg.consumers;
-    let ft_active = cfg.faults.active();
     let stream_cfg = StreamConfig {
         writers: m,
         readers: k,
@@ -512,7 +506,7 @@ where
 
     let t0 = std::time::Instant::now();
 
-    // Producer side: M slab ranks (or the legacy single-domain path).
+    // Producer side: M slab ranks (or the single-domain path at M = 1).
     let producer_handles: Vec<std::thread::JoinHandle<ProducerReport>> = if m == 1 {
         let (pw0, rw0) = (
             pw.into_iter()
@@ -538,64 +532,38 @@ where
             .collect()
     };
 
-    // Consumer side: rank 0 inline, ranks 1..K on threads. The overlap
-    // mode gets a second, dedicated world for the gradient comm-worker
-    // threads (one endpoint per rank, mirroring the main world).
+    // Consumer side: rank 0 inline, ranks 1..K on threads, one learner
+    // world for every K (K = 1 is a 1-rank world). The overlap mode gets
+    // a second, dedicated world for the gradient comm-worker threads (one
+    // endpoint per rank, mirroring the main world); the fault-tolerant
+    // membership syncs gradients on the main world and needs none.
     let mut failures: Vec<RankFailure> = Vec::new();
-    let (rank0_result, peer_results) = if k == 1 {
-        let (pr0, rr0) = (pr.remove(0), rr.remove(0));
-        let sink0 = sink.clone();
-        let r0 = catch_unwind(AssertUnwindSafe(|| {
-            if ft_active {
-                run_consumer_ft_serving(cfg, pr0, rr0, sink0)
-            } else {
-                run_consumer_serving(cfg, pr0, rr0, sink0)
-            }
-        }));
-        (r0, Vec::new())
-    } else {
-        let mut endpoints = make_world(k, RankGroup::Consumer);
-        // The FT path runs its gradient sync on the main world (no
-        // comm-worker), so the dedicated gradient world only exists on
-        // the legacy overlapped path.
-        let mut grad_endpoints: Vec<Option<C>> = if cfg.overlap_grad_sync && !ft_active {
-            make_world(k, RankGroup::Consumer)
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            (0..k).map(|_| None).collect()
-        };
-        let comm0 = endpoints.remove(0);
-        let grad0 = grad_endpoints.remove(0);
-        let (pr0, rr0) = (pr.remove(0), rr.remove(0));
-        let peer_handles: Vec<_> = endpoints
+    let mut endpoints = make_world(k, RankGroup::Consumer);
+    let mut grad_endpoints: Vec<Option<C>> = if cfg.overlap_grad_sync && !cfg.faults.active() {
+        make_world(k, RankGroup::Consumer)
             .into_iter()
-            .zip(grad_endpoints)
-            .zip(pr.into_iter().zip(rr))
-            .map(|((comm, grad), (pr_i, rr_i))| {
-                let consumer_cfg = cfg.clone();
-                let sink_i = sink.clone();
-                std::thread::spawn(move || {
-                    if consumer_cfg.faults.active() {
-                        run_ddp_consumer_ft_serving(&consumer_cfg, comm, pr_i, rr_i, sink_i)
-                    } else {
-                        run_ddp_consumer_serving(&consumer_cfg, comm, grad, pr_i, rr_i, sink_i)
-                    }
-                })
-            })
-            .collect();
-        let sink0 = sink.clone();
-        let rank0 = catch_unwind(AssertUnwindSafe(|| {
-            if ft_active {
-                run_ddp_consumer_ft_serving(cfg, comm0, pr0, rr0, sink0)
-            } else {
-                run_ddp_consumer_serving(cfg, comm0, grad0, pr0, rr0, sink0)
-            }
-        }));
-        let peers: Vec<_> = peer_handles.into_iter().map(|h| h.join()).collect();
-        (rank0, peers)
+            .map(Some)
+            .collect()
+    } else {
+        (0..k).map(|_| None).collect()
     };
+    let comm0 = endpoints.remove(0);
+    let grad0 = grad_endpoints.remove(0);
+    let (pr0, rr0) = (pr.remove(0), rr.remove(0));
+    let peer_handles: Vec<_> = endpoints
+        .into_iter()
+        .zip(grad_endpoints)
+        .zip(pr.into_iter().zip(rr))
+        .map(|((comm, grad), (pr_i, rr_i))| {
+            let consumer_cfg = cfg.clone();
+            let sink_i = sink.clone();
+            std::thread::spawn(move || run_consumer(&consumer_cfg, comm, grad, pr_i, rr_i, sink_i))
+        })
+        .collect();
+    let rank0_result = catch_unwind(AssertUnwindSafe(|| {
+        run_consumer(cfg, comm0, grad0, pr0, rr0, sink)
+    }));
+    let peer_results: Vec<_> = peer_handles.into_iter().map(|h| h.join()).collect();
 
     let mut peer_reports: Vec<ConsumerReport> = Vec::new();
     for (i, res) in peer_results.into_iter().enumerate() {

@@ -199,6 +199,7 @@ fn abandoned_reader_does_not_poison_the_stream() {
 /// (releasing the queue) and surfaces the mismatch in its report.
 #[test]
 fn consumer_survives_streams_ending_out_of_sync() {
+    use artificial_scientist::cluster::comm::Communicator;
     use artificial_scientist::core::config::WorkflowConfig;
     use artificial_scientist::core::consumer::run_consumer;
     use artificial_scientist::openpmd::attribute::UnitDimension;
@@ -267,7 +268,15 @@ fn consumer_survives_streams_ending_out_of_sync() {
         rw.close();
     });
 
-    let report = run_consumer(&cfg, pr.remove(0), rr.remove(0));
+    let comm = CommWorld::new(1).into_endpoints().remove(0);
+    let report = run_consumer(
+        &cfg,
+        comm,
+        None::<Communicator>,
+        pr.remove(0),
+        rr.remove(0),
+        None,
+    );
     producer.join().unwrap();
     assert_eq!(report.windows, 2, "only complete window pairs count");
     assert_eq!(
