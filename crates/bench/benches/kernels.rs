@@ -15,7 +15,7 @@ use as_pic::tweac::TweacSetup;
 use as_radiation::detector::Detector;
 use as_radiation::lienard::{ParticleState, RadiationAccumulator};
 use as_staging::engine::{open_stream, StreamConfig};
-use as_tensor::{matmul, TensorRng};
+use as_tensor::{matmul, matmul_a_bt, matmul_at_b, TensorRng};
 
 fn bench_pic_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("pic_step");
@@ -131,6 +131,21 @@ fn bench_tensor(c: &mut Criterion) {
     let a = rng.standard_normal([256, 256]);
     let b2 = rng.standard_normal([256, 256]);
     g.bench_function("matmul_256", |b| b.iter(|| black_box(matmul(&a, &b2))));
+    // The PointNet encoder's widest 1×1 convolution (32→64 channels over
+    // 8×256 points, `ModelConfig::small()`): forward, input gradient and
+    // weight gradient.
+    let x = rng.standard_normal([2048, 32]);
+    let w = rng.standard_normal([32, 64]);
+    let dy = rng.standard_normal([2048, 64]);
+    g.bench_function("matmul_2048x32x64", |b| {
+        b.iter(|| black_box(matmul(&x, &w)))
+    });
+    g.bench_function("matmul_a_bt_2048x64x32", |b| {
+        b.iter(|| black_box(matmul_a_bt(&dy, &w)))
+    });
+    g.bench_function("matmul_at_b_32x2048x64", |b| {
+        b.iter(|| black_box(matmul_at_b(&x, &dy)))
+    });
     g.finish();
 }
 

@@ -6,6 +6,13 @@
 //! parameter gradients (`g* += …`). Accumulation (rather than overwrite) is
 //! what lets the INN call its subnets once in the forward direction and once
 //! in the inverse direction per training step.
+//!
+//! A context holds what the backward pass reads by move, never by copy:
+//! [`Linear::forward`] takes its input by value and keeps it in the
+//! [`LinearCtx`]. Activations have no context. They run in place on the
+//! tensor they are given, and their backward reads the activation's
+//! *output*, which the caller already holds, usually as the next layer's
+//! input.
 
 use crate::init;
 use crate::optim::ParamVisitor;
@@ -24,9 +31,16 @@ pub struct Linear {
     pub gb: Tensor,
 }
 
-/// Backward context of a [`Linear`]: the input batch.
+/// Backward context of a [`Linear`]: the input batch, moved in.
 pub struct LinearCtx {
     x: Tensor,
+}
+
+impl LinearCtx {
+    /// The input the layer was applied to.
+    pub(crate) fn input(&self) -> &Tensor {
+        &self.x
+    }
 }
 
 /// How to initialise a [`Linear`].
@@ -66,18 +80,18 @@ impl Linear {
         self.w.dims()[1]
     }
 
-    /// `y = x·W + b` for `x:[n,in]`.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, LinearCtx) {
+    /// `y = x·W + b` for `x:[n,in]`; `x` moves into the context.
+    pub fn forward(&self, x: Tensor) -> (Tensor, LinearCtx) {
         assert_eq!(x.dims().len(), 2, "Linear expects [n, fan_in]");
         assert_eq!(x.dims()[1], self.fan_in(), "Linear fan_in mismatch");
-        let mut y = matmul(x, &self.w);
+        let mut y = matmul(&x, &self.w);
         let out = self.fan_out();
         for row in y.data_mut().chunks_exact_mut(out) {
             for (v, &bv) in row.iter_mut().zip(self.b.data()) {
                 *v += bv;
             }
         }
-        (y, LinearCtx { x: x.clone() })
+        (y, LinearCtx { x })
     }
 
     /// Accumulate `gw += xᵀ·dy`, `gb += Σ dy`, return `dx = dy·Wᵀ`.
@@ -110,7 +124,7 @@ impl Linear {
 /// Supported activation functions.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Activation {
-    /// `max(x, αx)` with slope α.
+    /// `max(x, αx)` with slope `0 ≤ α < 1`.
     LeakyRelu(f32),
     /// Hyperbolic tangent.
     Tanh,
@@ -120,58 +134,51 @@ pub enum Activation {
     Identity,
 }
 
-/// Backward context of an activation: the pre-activation input.
-pub struct ActCtx {
-    x: Tensor,
-}
-
 impl Activation {
-    /// Apply elementwise.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, ActCtx) {
-        let y = match self {
-            Activation::LeakyRelu(a) => x.map(|v| if v > 0.0 { v } else { a * v }),
-            Activation::Tanh => x.map(f32::tanh),
-            Activation::Softplus => x.map(softplus),
-            Activation::Identity => x.clone(),
-        };
-        (y, ActCtx { x: x.clone() })
+    /// Apply elementwise, in place on `x`.
+    pub fn forward(self, mut x: Tensor) -> Tensor {
+        match self {
+            Activation::LeakyRelu(a) => x.map_inplace(|v| if v > 0.0 { v } else { a * v }),
+            Activation::Tanh => x.map_inplace(f32::tanh),
+            Activation::Softplus => x.map_inplace(softplus),
+            Activation::Identity => {}
+        }
+        x
     }
 
-    /// Chain rule through the activation.
-    pub fn backward(&self, dy: &Tensor, ctx: &ActCtx) -> Tensor {
-        let mut dx = dy.clone();
+    /// Chain rule through the activation, in place on `dy`, given the
+    /// activation's output `y` (what [`Activation::forward`] returned).
+    pub fn backward(self, mut dy: Tensor, y: &[f32]) -> Tensor {
+        assert_eq!(dy.numel(), y.len(), "activation gradient/output mismatch");
+        let d = dy.data_mut();
         match self {
+            // For α ≥ 0, `y > 0` exactly where `x > 0`.
             Activation::LeakyRelu(a) => {
-                for (d, &x) in dx.data_mut().iter_mut().zip(ctx.x.data()) {
-                    if x <= 0.0 {
-                        *d *= a;
-                    }
+                for (d, &y) in d.iter_mut().zip(y) {
+                    *d = if y > 0.0 { *d } else { *d * a };
                 }
             }
+            // `1 − y²` is bitwise the `1 − tanh(x)²` computed from `x`.
             Activation::Tanh => {
-                for (d, &x) in dx.data_mut().iter_mut().zip(ctx.x.data()) {
-                    let t = x.tanh();
-                    *d *= 1.0 - t * t;
+                for (d, &y) in d.iter_mut().zip(y) {
+                    *d *= 1.0 - y * y;
                 }
             }
+            // σ(x) = 1 − e^(−y) for y = ln(1 + eˣ).
             Activation::Softplus => {
-                for (d, &x) in dx.data_mut().iter_mut().zip(ctx.x.data()) {
-                    *d *= sigmoid(x);
+                for (d, &y) in d.iter_mut().zip(y) {
+                    *d *= -(-y).exp_m1();
                 }
             }
             Activation::Identity => {}
         }
-        dx
+        dy
     }
 }
 
 fn softplus(x: f32) -> f32 {
     // Overflow-safe: ln(1+e^x) = max(x,0) + ln(1+e^-|x|).
     x.max(0.0) + (-x.abs()).exp().ln_1p()
-}
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 /// Multi-layer perceptron: Linear → act → … → Linear (+ optional final act).
@@ -181,11 +188,12 @@ pub struct Mlp {
     final_act: Activation,
 }
 
-/// Backward context of an [`Mlp`].
+/// Backward context of an [`Mlp`]. A hidden activation's output is the
+/// next layer's input, so only a non-identity final activation keeps its
+/// own copy of the output.
 pub struct MlpCtx {
     lin: Vec<LinearCtx>,
-    act: Vec<ActCtx>,
-    fin: Option<ActCtx>,
+    fin: Option<Tensor>,
 }
 
 impl Mlp {
@@ -233,38 +241,31 @@ impl Mlp {
     pub fn forward(&self, x: &Tensor) -> (Tensor, MlpCtx) {
         let mut cur = x.clone();
         let mut lin = Vec::with_capacity(self.layers.len());
-        let mut act = Vec::with_capacity(self.layers.len().saturating_sub(1));
         let n = self.layers.len();
         for (i, layer) in self.layers.iter().enumerate() {
-            let (y, c) = layer.forward(&cur);
+            let (y, c) = layer.forward(cur);
             lin.push(c);
-            cur = y;
-            if i + 1 < n {
-                let (a, c) = self.act.forward(&cur);
-                act.push(c);
-                cur = a;
-            }
+            cur = if i + 1 < n { self.act.forward(y) } else { y };
         }
         let fin = if self.final_act != Activation::Identity {
-            let (a, c) = self.final_act.forward(&cur);
-            cur = a;
-            Some(c)
+            cur = self.final_act.forward(cur);
+            Some(cur.clone())
         } else {
             None
         };
-        (cur, MlpCtx { lin, act, fin })
+        (cur, MlpCtx { lin, fin })
     }
 
     /// Backward through all layers, accumulating gradients.
     pub fn backward(&mut self, dy: &Tensor, ctx: &MlpCtx) -> Tensor {
         let mut cur = dy.clone();
-        if let Some(fc) = &ctx.fin {
-            cur = self.final_act.backward(&cur, fc);
+        if let Some(y) = &ctx.fin {
+            cur = self.final_act.backward(cur, y.data());
         }
         let n = self.layers.len();
         for i in (0..n).rev() {
             if i + 1 < n {
-                cur = self.act.backward(&cur, &ctx.act[i]);
+                cur = self.act.backward(cur, ctx.lin[i + 1].input().data());
             }
             cur = self.layers[i].backward(&cur, &ctx.lin[i]);
         }
@@ -365,7 +366,7 @@ mod tests {
         l.w = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]);
         l.b = Tensor::from_slice(&[10., 20.]);
         let x = Tensor::from_vec([1, 2], vec![1., 1.]);
-        let (y, _) = l.forward(&x);
+        let (y, _) = l.forward(x);
         assert_eq!(y.data(), &[14., 26.]);
     }
 
@@ -375,7 +376,7 @@ mod tests {
         let l = Linear::new(&mut rng, 3, 4, InitKind::Xavier);
         let x = rng.standard_normal([2, 3]);
         // Loss = sum(y²)/2 so dL/dy = y.
-        let (y, ctx) = l.forward(&x);
+        let (y, ctx) = l.forward(x.clone());
         let mut l2 = Linear {
             w: l.w.clone(),
             b: l.b.clone(),
@@ -384,7 +385,7 @@ mod tests {
         };
         let dx = l2.backward(&y, &ctx);
         let mut f = |xt: &Tensor| {
-            let (y, _) = l.forward(xt);
+            let (y, _) = l.forward(xt.clone());
             0.5 * y.sq_norm()
         };
         finite_diff_check(&mut f, &x, &dx, 1e-2, 2e-2);
@@ -395,7 +396,7 @@ mod tests {
         let mut rng = TensorRng::seeded(2);
         let mut l = Linear::new(&mut rng, 3, 2, InitKind::Xavier);
         let x = rng.standard_normal([4, 3]);
-        let (y, ctx) = l.forward(&x);
+        let (y, ctx) = l.forward(x.clone());
         l.zero_grad();
         let _ = l.backward(&y, &ctx);
         let w0 = l.w.clone();
@@ -407,7 +408,7 @@ mod tests {
                 gw: Tensor::zeros([3, 2]),
                 gb: Tensor::zeros([2]),
             };
-            let (y, _) = probe.forward(&x);
+            let (y, _) = probe.forward(x.clone());
             0.5 * y.sq_norm()
         };
         finite_diff_check(&mut f, &w0, &gw, 1e-2, 2e-2);
@@ -418,7 +419,7 @@ mod tests {
         let mut rng = TensorRng::seeded(3);
         let mut l = Linear::new(&mut rng, 2, 2, InitKind::Xavier);
         let x = rng.standard_normal([1, 2]);
-        let (y, ctx) = l.forward(&x);
+        let (y, ctx) = l.forward(x);
         l.zero_grad();
         let _ = l.backward(&y, &ctx);
         let once = l.gw.clone();
@@ -439,10 +440,10 @@ mod tests {
             Activation::Softplus,
             Activation::Identity,
         ] {
-            let (y, ctx) = act.forward(&x);
-            let dx = act.backward(&y, &ctx);
+            let y = act.forward(x.clone());
+            let dx = act.backward(y.clone(), y.data());
             let mut f = |xt: &Tensor| {
-                let (y, _) = act.forward(xt);
+                let y = act.forward(xt.clone());
                 0.5 * y.sq_norm()
             };
             finite_diff_check(&mut f, &x, &dx, 1e-3, 5e-2);
@@ -452,7 +453,7 @@ mod tests {
     #[test]
     fn softplus_is_overflow_safe() {
         let x = Tensor::from_slice(&[-100.0, 0.0, 100.0]);
-        let (y, _) = Activation::Softplus.forward(&x);
+        let y = Activation::Softplus.forward(x);
         assert!(y.all_finite());
         assert!((y.data()[2] - 100.0).abs() < 1e-3);
         assert!(y.data()[0] >= 0.0 && y.data()[0] < 1e-6);

@@ -30,6 +30,63 @@ fn sqdist(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
+/// Candidates the nearest-neighbour search compares at a time.
+const LANES: usize = 8;
+
+/// Coordinate-major copy of `d`-dimensional points, padded to whole
+/// blocks of `LANES` with points at infinity: coordinate `k` of point `j`
+/// lands at `k·stride + j`. Returns the copy and its `stride`.
+fn coordinate_major(points: &[f32], d: usize) -> (Vec<f32>, usize) {
+    let stride = (points.len() / d).div_ceil(LANES) * LANES;
+    let mut out = vec![f32::INFINITY; stride * d];
+    for (j, p) in points.chunks_exact(d).enumerate() {
+        for (k, &v) in p.iter().enumerate() {
+            out[k * stride + j] = v;
+        }
+    }
+    (out, stride)
+}
+
+/// First nearest neighbour of `q` in a [`coordinate_major`] cloud:
+/// `(squared distance, index)`.
+///
+/// Each distance is [`sqdist`]'s sum, in the same order, and the result is
+/// that of a sequential strict-`<` scan: the lowest index attains the
+/// minimum, NaN never wins, and `(∞, 0)` comes back if nothing is closer
+/// than infinity. A padding point's distance is ∞ or NaN, so it never
+/// wins. Lane `l` scans the candidates `j ≡ l (mod LANES)` in increasing
+/// order, so the overall first minimum is the lowest index among the
+/// lanes that hold the minimum.
+fn nearest(q: &[f32], cloud: &[f32], stride: usize) -> (f32, usize) {
+    let mut best = [f32::INFINITY; LANES];
+    let mut arg = [0usize; LANES];
+    for j in (0..stride).step_by(LANES) {
+        let mut dist = [0.0f32; LANES];
+        for (k, &qk) in q.iter().enumerate() {
+            let c = &cloud[k * stride + j..k * stride + j + LANES];
+            for (acc, &ck) in dist.iter_mut().zip(c) {
+                // (q − c)² is bitwise (c − q)²: negation is exact.
+                let diff = qk - ck;
+                *acc += diff * diff;
+            }
+        }
+        for (l, &dl) in dist.iter().enumerate() {
+            if dl < best[l] {
+                best[l] = dl;
+                arg[l] = j + l;
+            }
+        }
+    }
+    let (mut min, mut at) = (f32::INFINITY, 0);
+    for (&b, &a) in best.iter().zip(&arg) {
+        if b < min || (b == min && a < at) {
+            min = b;
+            at = a;
+        }
+    }
+    (min, at)
+}
+
 /// Chamfer distance between batched point clouds.
 ///
 /// `pred:[B,N,D]`, `target:[B,M,D]` → `(loss, dL/dpred)`.
@@ -43,61 +100,40 @@ pub fn chamfer(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
     let pd = pred.data();
     let td = target.data();
 
-    // Per-batch results computed in parallel, then reduced.
-    let per_batch: Vec<(f64, Vec<f32>)> = (0..b)
-        .into_par_iter()
-        .map(|bi| {
-            let ps = &pd[bi * n * d..(bi + 1) * n * d];
-            let ts = &td[bi * m * d..(bi + 1) * m * d];
-            let mut grad = vec![0.0f32; n * d];
-            let mut loss = 0.0f64;
-            // Direction 1: every predicted point to its nearest target.
-            for i in 0..n {
-                let p = &ps[i * d..(i + 1) * d];
-                let mut best = f32::INFINITY;
-                let mut bj = 0;
-                for j in 0..m {
-                    let dist = sqdist(p, &ts[j * d..(j + 1) * d]);
-                    if dist < best {
-                        best = dist;
-                        bj = j;
-                    }
-                }
-                loss += best as f64 / n as f64;
-                let t = &ts[bj * d..(bj + 1) * d];
-                for k in 0..d {
-                    grad[i * d + k] += 2.0 * (p[k] - t[k]) / n as f32;
-                }
-            }
-            // Direction 2: every target point to its nearest prediction.
-            for j in 0..m {
-                let t = &ts[j * d..(j + 1) * d];
-                let mut best = f32::INFINITY;
-                let mut bi2 = 0;
-                for i in 0..n {
-                    let dist = sqdist(&ps[i * d..(i + 1) * d], t);
-                    if dist < best {
-                        best = dist;
-                        bi2 = i;
-                    }
-                }
-                loss += best as f64 / m as f64;
-                let p = &ps[bi2 * d..(bi2 + 1) * d];
-                for k in 0..d {
-                    grad[bi2 * d + k] += 2.0 * (p[k] - t[k]) / m as f32;
-                }
-            }
-            (loss, grad)
-        })
-        .collect();
-
+    // Serial over the batch: splitting it across the rayon shim's
+    // per-call threads did not raise learn_1x1 throughput.
     let mut grad = Tensor::zeros([b, n, d]);
     let mut loss = 0.0;
-    for (bi, (l, g)) in per_batch.into_iter().enumerate() {
+    for bi in 0..b {
+        let ps = &pd[bi * n * d..(bi + 1) * n * d];
+        let ts = &td[bi * m * d..(bi + 1) * m * d];
+        let (ps_cm, ps_stride) = coordinate_major(ps, d);
+        let (ts_cm, ts_stride) = coordinate_major(ts, d);
+        let g = &mut grad.data_mut()[bi * n * d..(bi + 1) * n * d];
+        let mut l = 0.0f64;
+        // Direction 1: every predicted point to its nearest target.
+        for i in 0..n {
+            let p = &ps[i * d..(i + 1) * d];
+            let (best, bj) = nearest(p, &ts_cm, ts_stride);
+            l += best as f64 / n as f64;
+            let t = &ts[bj * d..(bj + 1) * d];
+            for k in 0..d {
+                g[i * d + k] += 2.0 * (p[k] - t[k]) / n as f32;
+            }
+        }
+        // Direction 2: every target point to its nearest prediction.
+        for j in 0..m {
+            let t = &ts[j * d..(j + 1) * d];
+            let (best, bi2) = nearest(t, &ps_cm, ps_stride);
+            l += best as f64 / m as f64;
+            let p = &ps[bi2 * d..(bi2 + 1) * d];
+            for k in 0..d {
+                g[bi2 * d + k] += 2.0 * (p[k] - t[k]) / m as f32;
+            }
+        }
         loss += l / b as f64;
-        let dst = &mut grad.data_mut()[bi * n * d..(bi + 1) * n * d];
-        for (o, v) in dst.iter_mut().zip(g) {
-            *o = v / b as f32;
+        for v in g.iter_mut() {
+            *v /= b as f32;
         }
     }
     (loss, grad)
@@ -310,6 +346,48 @@ mod tests {
                 (num - ana).abs() / scale < tol,
                 "grad mismatch at {i}: num {num} vs ana {ana}"
             );
+        }
+    }
+
+    /// The nearest-neighbour scan one candidate at a time: `sqdist` per
+    /// pair, strict `<`, first minimum wins.
+    fn sequential_nearest(q: &[f32], cloud: &[f32], d: usize) -> (f32, usize) {
+        let mut best = f32::INFINITY;
+        let mut at = 0;
+        for (j, c) in cloud.chunks_exact(d).enumerate() {
+            let dist = sqdist(q, c);
+            if dist < best {
+                best = dist;
+                at = j;
+            }
+        }
+        (best, at)
+    }
+
+    #[test]
+    fn blocked_nearest_matches_sequential_scan_bitwise() {
+        let mut rng = TensorRng::seeded(21);
+        for len in 0..=27 {
+            // Coarse coordinates so exact ties are common, plus exact
+            // duplicates, an infinite and a NaN candidate.
+            let mut cloud = rng.uniform([len.max(1), 3], -2.0, 2.0);
+            cloud.map_inplace(|v| v.round() * 0.5);
+            let mut cloud = cloud.into_vec();
+            cloud.truncate(len * 3);
+            if len > 9 {
+                let dup: Vec<f32> = cloud[3..6].to_vec();
+                cloud[27..30].copy_from_slice(&dup);
+                cloud[12] = f32::INFINITY;
+                cloud[16] = f32::NAN;
+            }
+            let (cm, stride) = coordinate_major(&cloud, 3);
+            for _ in 0..20 {
+                let mut q = rng.uniform([3], -2.0, 2.0);
+                q.map_inplace(|v| v.round() * 0.5);
+                let (b, a) = nearest(q.data(), &cm, stride);
+                let (bs, as_) = sequential_nearest(q.data(), &cloud, 3);
+                assert_eq!((b.to_bits(), a), (bs.to_bits(), as_), "len {len}, q {q:?}");
+            }
         }
     }
 

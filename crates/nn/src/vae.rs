@@ -17,8 +17,7 @@
 //! exactly how it is implemented here.
 
 use crate::layers::{
-    max_pool_points, max_pool_points_backward, ActCtx, Activation, InitKind, Linear, LinearCtx,
-    Mlp, MlpCtx,
+    max_pool_points, max_pool_points_backward, Activation, InitKind, Linear, LinearCtx, Mlp, MlpCtx,
 };
 use crate::optim::ParamVisitor;
 use as_tensor::{Tensor, TensorRng};
@@ -82,10 +81,12 @@ pub struct Encoder {
     point_dim: usize,
 }
 
-/// Backward context of the encoder.
+/// Backward context of the encoder. Each convolution's activated output
+/// is the next convolution's input; the last one is kept as `features`.
 pub struct EncoderCtx {
-    conv_lin: Vec<LinearCtx>,
-    conv_act: Vec<ActCtx>,
+    convs: Vec<LinearCtx>,
+    /// Activated output of the last convolution, `[B·P, C]`.
+    features: Tensor,
     pool_arg: Vec<usize>,
     points: usize,
     batch: usize,
@@ -137,27 +138,26 @@ impl Encoder {
         assert_eq!(d[2], self.point_dim, "point dimension mismatch");
         let (b, p) = (d[0], d[1]);
         // Shared 1×1 convolutions = a Linear over the flattened point axis.
+        // The first one keeps this copy of the points as its input.
         let mut cur = points.reshaped([b * p, self.point_dim]);
-        let mut conv_lin = Vec::with_capacity(self.convs.len());
-        let mut conv_act = Vec::with_capacity(self.convs.len());
+        let mut convs = Vec::with_capacity(self.convs.len());
         for conv in &self.convs {
-            let (y, lc) = conv.forward(&cur);
-            conv_lin.push(lc);
-            let (a, ac) = LEAKY.forward(&y);
-            conv_act.push(ac);
-            cur = a;
+            let (y, lc) = conv.forward(cur);
+            convs.push(lc);
+            cur = LEAKY.forward(y);
         }
         let feat = self.convs.last().expect("nonempty").fan_out();
         let per_point = cur.reshape([b, p, feat]);
         let (pooled, pool_arg) = max_pool_points(&per_point);
+        let features = per_point.reshape([b * p, feat]);
         let (mu, mu_ctx) = self.mu_head.forward(&pooled);
         let (logvar, logvar_ctx) = self.logvar_head.forward(&pooled);
         (
             mu,
             logvar,
             EncoderCtx {
-                conv_lin,
-                conv_act,
+                convs,
+                features,
                 pool_arg,
                 points: p,
                 batch: b,
@@ -176,8 +176,9 @@ impl Encoder {
         let feat = self.convs.last().expect("nonempty").fan_out();
         let mut cur = dper_point.reshape([ctx.batch * ctx.points, feat]);
         for i in (0..self.convs.len()).rev() {
-            cur = LEAKY.backward(&cur, &ctx.conv_act[i]);
-            cur = self.convs[i].backward(&cur, &ctx.conv_lin[i]);
+            let y = ctx.convs.get(i + 1).map_or(&ctx.features, LinearCtx::input);
+            cur = LEAKY.backward(cur, y.data());
+            cur = self.convs[i].backward(&cur, &ctx.convs[i]);
         }
         cur.reshape([ctx.batch, ctx.points, self.point_dim])
     }
@@ -230,13 +231,13 @@ impl Deconv3 {
     }
 
     /// `x:[B, e³, C_in]` (cells in x-major order) → `[B, (2e)³, C_out]`.
-    fn forward(&self, x: &Tensor, edge: usize) -> (Tensor, Deconv3Ctx) {
+    fn forward(&self, x: Tensor, edge: usize) -> (Tensor, Deconv3Ctx) {
         let d = x.dims();
         let (b, cells) = (d[0], d[1]);
         assert_eq!(cells, edge * edge * edge, "cell count != edge³");
         assert_eq!(d[2], self.c_in);
-        let flat = x.reshaped([b * cells, self.c_in]);
-        let (y, lin_ctx) = self.lin.forward(&flat);
+        let flat = x.reshape([b * cells, self.c_in]);
+        let (y, lin_ctx) = self.lin.forward(flat);
         // Scatter each cell's 8·C_out outputs into the doubled grid.
         let e2 = edge * 2;
         let mut out = Tensor::zeros([b, e2 * e2 * e2, self.c_out]);
@@ -320,11 +321,13 @@ pub struct Decoder {
     out_dim: usize,
 }
 
-/// Backward context of the decoder.
+/// Backward context of the decoder. An activation's output is the next
+/// deconvolution's input, so only a decoder without deconvolutions keeps
+/// its own copy of the activated FC output.
 pub struct DecoderCtx {
     fc: LinearCtx,
-    fc_act: ActCtx,
-    stages: Vec<(Deconv3Ctx, Option<ActCtx>)>,
+    fc_out: Option<Tensor>,
+    stages: Vec<Deconv3Ctx>,
     batch: usize,
 }
 
@@ -352,30 +355,25 @@ impl Decoder {
     /// `z:[B,Z]` → point cloud `[B, P_out, out_dim]`.
     pub fn forward(&self, z: &Tensor) -> (Tensor, DecoderCtx) {
         let b = z.dims()[0];
-        let (y, fc_ctx) = self.fc.forward(z);
-        let (y, fc_act) = LEAKY.forward(&y);
+        let (y, fc_ctx) = self.fc.forward(z.clone());
+        let y = LEAKY.forward(y);
+        let fc_out = self.deconvs.is_empty().then(|| y.clone());
         let c0 = self.deconvs.first().map(|d| d.c_in).unwrap_or(self.out_dim);
         let mut cur = y.reshape([b, self.base * self.base * self.base, c0]);
         let mut edge = self.base;
         let mut stages = Vec::with_capacity(self.deconvs.len());
         let n = self.deconvs.len();
         for (i, dc) in self.deconvs.iter().enumerate() {
-            let (y, c) = dc.forward(&cur, edge);
+            let (y, c) = dc.forward(cur, edge);
             edge *= 2;
-            if i + 1 < n {
-                let (a, ac) = LEAKY.forward(&y);
-                cur = a;
-                stages.push((c, Some(ac)));
-            } else {
-                cur = y;
-                stages.push((c, None));
-            }
+            stages.push(c);
+            cur = if i + 1 < n { LEAKY.forward(y) } else { y };
         }
         (
             cur,
             DecoderCtx {
                 fc: fc_ctx,
-                fc_act,
+                fc_out,
                 stages,
                 batch: b,
             },
@@ -385,16 +383,20 @@ impl Decoder {
     /// Backward from `d points` to `dz`.
     pub fn backward(&mut self, dy: &Tensor, ctx: &DecoderCtx) -> Tensor {
         let mut cur = dy.clone();
-        for i in (0..self.deconvs.len()).rev() {
-            let (dctx, act) = &ctx.stages[i];
-            if let Some(ac) = act {
-                cur = LEAKY.backward(&cur, ac);
+        let n = self.deconvs.len();
+        for i in (0..n).rev() {
+            if i + 1 < n {
+                cur = LEAKY.backward(cur, ctx.stages[i + 1].lin.input().data());
             }
-            cur = self.deconvs[i].backward(&cur, dctx);
+            cur = self.deconvs[i].backward(&cur, &ctx.stages[i]);
         }
+        let fc_out = match &ctx.fc_out {
+            Some(y) => y,
+            None => ctx.stages[0].lin.input(),
+        };
         let c0 = self.deconvs.first().map(|d| d.c_in).unwrap_or(self.out_dim);
         let flat = cur.reshape([ctx.batch, self.base * self.base * self.base * c0]);
-        let flat = LEAKY.backward(&flat, &ctx.fc_act);
+        let flat = LEAKY.backward(flat, fc_out.data());
         self.fc.backward(&flat, &ctx.fc)
     }
 
@@ -633,7 +635,7 @@ mod tests {
         let mut rng = TensorRng::seeded(5);
         let dc = Deconv3::new(&mut rng, 2, 3, true);
         let x = rng.standard_normal([1, 8, 2]); // 2³ input cells
-        let (y, _) = dc.forward(&x, 2);
+        let (y, _) = dc.forward(x, 2);
         assert_eq!(y.dims(), &[1, 64, 3]); // 4³ output cells
                                            // With bias zero and near-deterministic linear, no output cell stays
                                            // exactly at the zero initialisation unless the product is zero —

@@ -3,7 +3,7 @@
 //! The paper's ML application is built on PyTorch; no comparable Rust stack
 //! exists offline, so this crate provides the small tensor core the model in
 //! `as-nn` needs: contiguous row-major storage, shape/stride bookkeeping,
-//! elementwise and reduction kernels, and a rayon-parallel blocked matmul.
+//! elementwise and reduction kernels, and a register-blocked matmul.
 //!
 //! Design choices:
 //! - **Plain data, no autograd tape.** Gradients are computed layer-by-layer

@@ -125,7 +125,8 @@ impl Tensor {
         self
     }
 
-    /// Borrowing reshape (clones only the shape, not the data).
+    /// Reshaped copy: clones the whole buffer. An owned tensor reshapes
+    /// without copying through [`Tensor::reshape`].
     pub fn reshaped(&self, shape: impl Into<Shape>) -> Self {
         self.clone().reshape(shape)
     }
