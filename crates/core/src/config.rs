@@ -266,11 +266,11 @@ pub struct WorkflowConfig {
     pub queue_limit: usize,
     /// Simulation (writer) ranks: the KHI box is slab-decomposed along x
     /// into this many shards, one producer thread each. Must divide
-    /// `grid.nx`. `1` keeps the original single-domain producer path.
+    /// `grid.nx`. `1` is a 1-rank producer world: one slab, the whole box.
     pub producers: usize,
     /// Learner (reader) ranks: each consumes its round-robin share of the
     /// streamed windows and trains data-parallel, averaging gradients
-    /// every iteration. `1` keeps the original single-consumer path.
+    /// every iteration. `1` is a 1-rank learner world.
     pub consumers: usize,
     /// How consumers pace themselves against the stream (blocking
     /// every-step vs newest-step-only with drops).

@@ -8,15 +8,14 @@
 //! (measured and reported as [`ProducerReport::stall_seconds`] — only the
 //! time actually blocked on the full queue, not the emit wall time).
 //!
-//! Two drivers share the emission path:
-//! - [`run_producer`]: the original single-domain producer (one rank owns
-//!   the whole box) — the exact legacy 1×1 behaviour;
-//! - [`run_sharded_producer`]: one rank of an M-way slab decomposition
-//!   ([`as_pic::domain::DistributedSim`]). Each rank publishes its local
-//!   particles as one block of the global multi-writer SST step (offsets
-//!   allgathered per window, since migration moves particles between
-//!   slabs), and the per-region radiation amplitudes are merged across
-//!   ranks by superposition (allreduce) before rank 0 emits the spectra.
+//! [`run_producer`] runs one rank of an M-way slab decomposition
+//! ([`as_pic::domain::DistributedSim`]), for every M. Each rank publishes
+//! its local particles as one block of the global multi-writer SST step
+//! (offsets allgathered per window, since migration moves particles
+//! between slabs), and the per-region radiation amplitudes are merged
+//! across ranks by superposition (allreduce) before rank 0 emits the
+//! spectra. M = 1 is a 1-rank world: its slab is the whole box, its
+//! halo exchanges are periodic wraps, and its collectives move nothing.
 
 use crate::config::WorkflowConfig;
 use crate::faults::StreamId;
@@ -24,7 +23,6 @@ use as_cluster::collective::Collective;
 use as_openpmd::attribute::{UnitDimension, Value};
 use as_openpmd::writer::OpenPmdWriter;
 use as_pic::domain::DistributedSim;
-use as_pic::plugin::Plugin;
 use as_pic::sim::Simulation;
 use as_radiation::plugin::{RadiationPlugin, RegionMode};
 use as_staging::engine::SstWriter;
@@ -49,7 +47,7 @@ pub struct ProducerReport {
     /// Inter-rank payload bytes the producer group's collective backend
     /// moved (world-wide counter observed at this rank's exit; halo
     /// exchanges, particle migration, offset allgathers, radiation
-    /// merges). Zero for the single-domain producer, which has no peers.
+    /// merges). Zero for a 1-rank producer world, which has no peers.
     pub comm_bytes: u64,
     /// Modelled fabric seconds charged by the collective backend
     /// (world-wide; nonzero only under `CommBackend::NetSim`).
@@ -98,25 +96,6 @@ impl ProducerReport {
     }
 }
 
-fn flow_regions(cfg: &WorkflowConfig) -> RadiationPlugin {
-    RadiationPlugin::new(
-        cfg.detector.clone(),
-        RegionMode::FlowRegions {
-            shear_width: cfg.shear_width,
-        },
-        0,
-    )
-}
-
-/// Finish a rank's report from the writer-side stream stats: real
-/// published bytes and real queue-blocked time.
-fn finish_report(report: &mut ProducerReport, pw: &OpenPmdWriter, rw: &OpenPmdWriter) {
-    report.bytes = pw.bytes_published() + rw.bytes_published();
-    report.stall_seconds = pw.stall_seconds() + rw.stall_seconds();
-    report.staging_wire_bytes = pw.wire_bytes_published() + rw.wire_bytes_published();
-    report.staging_model_seconds = pw.model_seconds() + rw.model_seconds();
-}
-
 /// Arm the plan's producer-side faults on the stream writers. A
 /// [`crate::faults::FaultEvent::ProducerCrash`] truncates *both* streams
 /// at the same window (a clean, synchronized EOF); a
@@ -137,61 +116,27 @@ fn arm_faults(cfg: &WorkflowConfig, pw: &mut OpenPmdWriter, rw: &mut OpenPmdWrit
     }
 }
 
-/// Run the single-domain producer to completion (the legacy 1×1 path).
-pub fn run_producer(
-    cfg: &WorkflowConfig,
-    particle_stream: SstWriter,
-    radiation_stream: SstWriter,
-) -> ProducerReport {
-    let mut sim = cfg.khi.build(cfg.grid);
-    let mut radiation = flow_regions(cfg);
-    let mut pw = OpenPmdWriter::new(particle_stream);
-    let mut rw = OpenPmdWriter::new(radiation_stream);
-    arm_faults(cfg, &mut pw, &mut rw);
-
-    let mut report = ProducerReport::zero();
-
-    for step in 0..cfg.total_steps {
-        let t0 = Instant::now();
-        sim.step();
-        radiation.after_step(&sim);
-        report.sim_seconds += t0.elapsed().as_secs_f64();
-        report.steps += 1;
-
-        if (step + 1) % cfg.steps_per_sample == 0 {
-            let t1 = Instant::now();
-            let n = sim.species[0].len() as u64;
-            emit_window(cfg, &sim, &mut radiation, &mut pw, &mut rw, n, 0);
-            report.emit_seconds += t1.elapsed().as_secs_f64();
-            // An armed truncation firing inside the emit means this
-            // window (on at least one stream) never published: the
-            // producer "crashed" here. Stop emitting.
-            if pw.is_truncated() || rw.is_truncated() {
-                break;
-            }
-            report.windows += 1;
-        }
-    }
-    pw.close();
-    rw.close();
-    finish_report(&mut report, &pw, &rw);
-    report
-}
-
 /// Run one rank of an M-way sharded producer to completion.
 ///
 /// `comm` spans the producer ranks (world size M); the global KHI box is
 /// slab-decomposed along x via [`DistributedSim`]. Every rank contributes
 /// its particle shard to the shared multi-writer particle stream; the
 /// radiation stream carries the rank-merged spectra, written by rank 0.
-pub fn run_sharded_producer<C: Collective>(
+/// A 1-rank `comm` runs the whole box as one slab.
+pub fn run_producer<C: Collective>(
     cfg: &WorkflowConfig,
     comm: C,
     particle_stream: SstWriter,
     radiation_stream: SstWriter,
 ) -> ProducerReport {
     let mut d = DistributedSim::new(comm, cfg.grid, cfg.khi.all_species(&cfg.grid));
-    let mut radiation = flow_regions(cfg);
+    let mut radiation = RadiationPlugin::new(
+        cfg.detector.clone(),
+        RegionMode::FlowRegions {
+            shear_width: cfg.shear_width,
+        },
+        0,
+    );
     let mut pw = OpenPmdWriter::new(particle_stream);
     let mut rw = OpenPmdWriter::new(radiation_stream);
     arm_faults(cfg, &mut pw, &mut rw);
@@ -257,7 +202,12 @@ pub fn run_sharded_producer<C: Collective>(
     }
     pw.close();
     rw.close();
-    finish_report(&mut report, &pw, &rw);
+    // Real published bytes and real queue-blocked time, from the
+    // writer-side stream stats.
+    report.bytes = pw.bytes_published() + rw.bytes_published();
+    report.stall_seconds = pw.stall_seconds() + rw.stall_seconds();
+    report.staging_wire_bytes = pw.wire_bytes_published() + rw.wire_bytes_published();
+    report.staging_model_seconds = pw.model_seconds() + rw.model_seconds();
     report.comm_bytes = d.comm().world_bytes_sent();
     report.comm_model_seconds = d.comm().modelled_comm_seconds();
     report.comm_messages = d.comm().world_messages_sent();
@@ -266,7 +216,7 @@ pub fn run_sharded_producer<C: Collective>(
 
 /// Publish one emission window on both streams. `global_n` and `offset`
 /// describe this rank's block of the global particle array (the whole
-/// array for the single-domain producer); the radiation spectra are
+/// array in a 1-rank world); the radiation spectra are
 /// written by writer rank 0 only, from the (already rank-merged)
 /// accumulators.
 fn emit_window(
@@ -390,99 +340,118 @@ fn emit_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use as_cluster::comm::CommWorld;
     use as_staging::engine::{open_stream, StreamConfig};
 
-    #[test]
-    fn producer_publishes_expected_window_count() {
-        let mut cfg = WorkflowConfig::small();
-        cfg.total_steps = 8;
-        cfg.steps_per_sample = 4;
-        let (mut pw, mut pr) = open_stream(StreamConfig::default());
-        let (mut rw, mut rr) = open_stream(StreamConfig::default());
-        let (pw, rw) = (pw.remove(0), rw.remove(0));
-        let cfg2 = cfg.clone();
-        let producer = std::thread::spawn(move || run_producer(&cfg2, pw, rw));
-        // Drain both streams.
-        let mut p_reader = pr.remove(0);
-        let mut r_reader = rr.remove(0);
-        let mut windows = 0;
-        loop {
-            let ps = p_reader.begin_step();
-            let rs = r_reader.begin_step();
-            match (ps, rs) {
-                (Some(mut a), Some(mut b)) => {
-                    let x = a.get_f64("particles/e/position/x");
-                    assert!(!x.is_empty());
-                    let i0 = b.get_f32("radiation/region0/intensity");
-                    assert_eq!(i0.len(), cfg.detector.n_freqs());
-                    p_reader.end_step(a);
-                    r_reader.end_step(b);
-                    windows += 1;
-                }
-                (None, None) => break,
-                _ => panic!("streams out of sync"),
-            }
-        }
-        assert_eq!(windows, 2);
-        let report = producer.join().unwrap();
-        assert_eq!(report.steps, 8);
-        assert_eq!(report.windows, 2);
-        assert!(report.sim_seconds > 0.0);
-        // 7 particle arrays × N × 8 B per window, plus the radiation
-        // stream: the report must carry the real published volume.
-        let particles = (cfg.grid.cells() * cfg.khi.ppc) as u64;
-        assert!(report.bytes >= report.windows * particles * 7 * 8);
-        assert!(report.stall_seconds <= report.emit_seconds);
-    }
+    /// One drained window: the particle array length and every
+    /// `radiation/region*/intensity` array, by name.
+    type Window = (usize, Vec<(String, Vec<f32>)>);
 
-    #[test]
-    fn sharded_producer_assembles_the_global_particle_array() {
-        use as_cluster::comm::CommWorld;
+    /// Run an `m`-rank producer world for two windows and drain both
+    /// streams.
+    fn run_world(m: usize) -> (WorkflowConfig, Vec<Window>, Vec<ProducerReport>) {
         let mut cfg = WorkflowConfig::small();
         cfg.total_steps = 8;
         cfg.steps_per_sample = 4;
-        cfg.producers = 2;
+        cfg.producers = m;
         let stream_cfg = StreamConfig {
-            writers: 2,
+            writers: m,
             ..StreamConfig::default()
         };
         let (pw, mut pr) = open_stream(stream_cfg);
         let (rw, mut rr) = open_stream(stream_cfg);
-        let endpoints = CommWorld::new(2).into_endpoints();
-        let handles: Vec<_> = endpoints
+        let handles: Vec<_> = CommWorld::new(m)
+            .into_endpoints()
             .into_iter()
             .zip(pw.into_iter().zip(rw))
             .map(|(comm, (p, r))| {
                 let cfg = cfg.clone();
-                std::thread::spawn(move || run_sharded_producer(&cfg, comm, p, r))
+                std::thread::spawn(move || run_producer(&cfg, comm, p, r))
             })
             .collect();
-        let mut p_reader = pr.remove(0);
-        let mut r_reader = rr.remove(0);
-        let electrons = cfg.grid.cells() * cfg.khi.ppc;
-        let mut windows = 0;
+        let (mut p_reader, mut r_reader) = (pr.remove(0), rr.remove(0));
+        let mut windows = Vec::new();
         loop {
             match (p_reader.begin_step(), r_reader.begin_step()) {
                 (Some(mut a), Some(mut b)) => {
-                    // Blocks from both writer ranks tile the full array.
-                    let x = a.get_f64("particles/e/position/x");
-                    assert_eq!(x.len(), electrons, "shards must tile the box");
-                    let i0 = b.get_f32("radiation/region0/intensity");
-                    assert_eq!(i0.len(), cfg.detector.n_freqs());
+                    let n = a.get_f64("particles/e/position/x").len();
+                    let mut names: Vec<String> = b
+                        .variable_names()
+                        .into_iter()
+                        .filter(|n| n.starts_with("radiation/region") && n.ends_with("/intensity"))
+                        .collect();
+                    names.sort();
+                    let spectra = names
+                        .into_iter()
+                        .map(|name| {
+                            let v = b.get_f32(&name);
+                            (name, v)
+                        })
+                        .collect();
+                    windows.push((n, spectra));
                     p_reader.end_step(a);
                     r_reader.end_step(b);
-                    windows += 1;
                 }
                 (None, None) => break,
                 _ => panic!("streams out of sync"),
             }
         }
-        assert_eq!(windows, 2);
-        for h in handles {
-            let report = h.join().unwrap();
-            assert_eq!(report.steps, 8);
-            assert_eq!(report.windows, 2);
-            assert!(report.bytes > 0, "every shard publishes payload");
+        let reports = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        (cfg, windows, reports)
+    }
+
+    #[test]
+    fn producer_publishes_the_global_particle_array() {
+        for m in [1, 2] {
+            let (cfg, windows, reports) = run_world(m);
+            let electrons = cfg.grid.cells() * cfg.khi.ppc;
+            assert_eq!(windows.len(), 2);
+            for (n, spectra) in &windows {
+                // Blocks from every writer rank tile the full array.
+                assert_eq!(*n, electrons, "shards must tile the box");
+                assert_eq!(spectra[0].1.len(), cfg.detector.n_freqs());
+            }
+            for report in &reports {
+                assert_eq!((report.steps, report.windows), (8, 2));
+                assert!(report.bytes > 0, "every shard publishes payload");
+                assert!(report.sim_seconds > 0.0);
+                assert!(report.stall_seconds <= report.emit_seconds);
+            }
+            // 7 particle arrays × N × 8 B per window, plus the radiation
+            // stream: the reports carry the real published volume.
+            let bytes: u64 = reports.iter().map(|r| r.bytes).sum();
+            assert!(bytes >= 2 * electrons as u64 * 7 * 8);
+            // A 1-rank world has no peers to talk to.
+            if m == 1 {
+                assert_eq!((reports[0].comm_bytes, reports[0].comm_messages), (0, 0));
+            }
+        }
+    }
+
+    /// Consumers see one global stream whatever M is: the 1-slab and
+    /// 2-slab producers publish the same spectra. The radiation gather
+    /// reads B ghost cells, so this pins that both decompositions hand
+    /// it fresh halos.
+    #[test]
+    fn radiation_stream_does_not_depend_on_producer_count() {
+        let (_, one, _) = run_world(1);
+        let (_, two, _) = run_world(2);
+        assert_eq!(one.len(), two.len());
+        for ((_, w1), (_, w2)) in one.iter().zip(&two) {
+            assert!(!w1.is_empty());
+            assert_eq!(w1.len(), w2.len());
+            let peak = w1
+                .iter()
+                .flat_map(|(_, v)| v.iter())
+                .fold(0.0f64, |p, &x| p.max(f64::from(x).abs()));
+            assert!(peak > 0.0, "a window must radiate");
+            for ((name, a), (name2, b)) in w1.iter().zip(w2) {
+                assert_eq!((name, a.len()), (name2, b.len()));
+                for (x, y) in a.iter().zip(b) {
+                    let rel = (f64::from(*x) - f64::from(*y)).abs() / peak;
+                    assert!(rel <= 1e-6, "{name}: {x} vs {y} ({rel:.3e} of peak)");
+                }
+            }
         }
     }
 }

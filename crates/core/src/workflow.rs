@@ -28,8 +28,8 @@
 //! costs while keeping numerics bit-identical (see
 //! `tests/comm_backends.rs`).
 //!
-//! `producers = 1` runs the single-domain producer (no producer world)
-//! instead of a 1-slab distributed simulation.
+//! M = 1 is a 1-rank producer world: one slab spanning the whole box,
+//! whose collectives move nothing.
 //!
 //! Consumer pacing follows [`crate::config::ConsumerPolicy`]: blocking
 //! every-step (back-pressure throttles the producers) or `DropSteps`
@@ -57,7 +57,7 @@
 use crate::config::{CommBackend, Placement, WorkflowConfig};
 use crate::consumer::{run_consumer, ConsumerReport};
 use crate::faults::InjectedFault;
-use crate::producer::{run_producer, run_sharded_producer, ProducerReport};
+use crate::producer::{run_producer, ProducerReport};
 use crate::snapshot::SnapshotSink;
 use as_cluster::collective::{Collective, NetModel, SimNetComm};
 use as_cluster::comm::CommWorld;
@@ -506,31 +506,17 @@ where
 
     let t0 = std::time::Instant::now();
 
-    // Producer side: M slab ranks (or the single-domain path at M = 1).
-    let producer_handles: Vec<std::thread::JoinHandle<ProducerReport>> = if m == 1 {
-        let (pw0, rw0) = (
-            pw.into_iter()
-                .next()
-                .unwrap_or_else(|| panic!("stream opened with one writer")),
-            rw.into_iter()
-                .next()
-                .unwrap_or_else(|| panic!("stream opened with one writer")),
-        );
-        let producer_cfg = cfg.clone();
-        vec![std::thread::spawn(move || {
-            run_producer(&producer_cfg, pw0, rw0)
-        })]
-    } else {
-        let endpoints = make_world(m, RankGroup::Producer);
-        endpoints
+    // Producer side: one slab rank per thread, one producer world for
+    // every M (M = 1 is a 1-rank world).
+    let producer_handles: Vec<std::thread::JoinHandle<ProducerReport>> =
+        make_world(m, RankGroup::Producer)
             .into_iter()
             .zip(pw.into_iter().zip(rw))
             .map(|(comm, (pw_i, rw_i))| {
                 let producer_cfg = cfg.clone();
-                std::thread::spawn(move || run_sharded_producer(&producer_cfg, comm, pw_i, rw_i))
+                std::thread::spawn(move || run_producer(&producer_cfg, comm, pw_i, rw_i))
             })
-            .collect()
-    };
+            .collect();
 
     // Consumer side: rank 0 inline, ranks 1..K on threads, one learner
     // world for every K (K = 1 is a 1-rank world). The overlap mode gets

@@ -241,6 +241,13 @@ impl ScalarField3 {
         }
     }
 
+    /// Bit patterns of every value, ghost layers included, for bitwise
+    /// equivalence tests.
+    #[cfg(test)]
+    pub(crate) fn to_bits(&self) -> Vec<u64> {
+        self.data.iter().map(|v| v.to_bits()).collect()
+    }
+
     /// Zero the ghost layers only.
     pub fn clear_ghosts(&mut self) {
         for g in 0..GHOSTS as isize {

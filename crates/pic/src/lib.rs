@@ -50,7 +50,6 @@
 //! --bin fig_step_throughput` benchmarks the fused pipeline against the
 //! seed baseline and writes `BENCH_step.json`.
 
-pub mod checkpoint;
 pub mod deposit;
 pub mod diag;
 pub mod domain;

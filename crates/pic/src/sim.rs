@@ -204,6 +204,9 @@ impl Simulation {
     }
 
     /// Field update shared by both step paths: B half, E full, B half.
+    /// Leaves every E and B ghost fresh, so a post-step diagnostic that
+    /// gathers fields (the radiation plugin) sees the same halos as a
+    /// [`crate::domain::DistributedSim`] after `refresh_ghosts`.
     fn advance_fields(&mut self) {
         let g = self.spec;
         self.e.wrap_ghosts_periodic();
@@ -212,6 +215,7 @@ impl Simulation {
         advance_e(&mut self.e, &self.b, &self.j, &g, g.dt);
         self.e.wrap_ghosts_periodic();
         advance_b(&mut self.b, &self.e, &g, 0.5 * g.dt);
+        self.b.wrap_ghosts_periodic();
     }
 
     /// Run `n` steps.
@@ -429,6 +433,29 @@ mod tests {
         let (re, rb) = reference.field_energy();
         assert!((fe - re).abs() <= 1e-12 * re.max(1.0), "E² {fe} vs {re}");
         assert!((fb - rb).abs() <= 1e-12 * rb.max(1.0), "B² {fb} vs {rb}");
+    }
+
+    /// `step` hands post-step diagnostics fresh halos: wrapping B's
+    /// ghosts again after a step changes no bit.
+    #[test]
+    fn step_leaves_b_ghosts_fresh() {
+        let g = GridSpec::cubic(12, 8, 8, 0.35, 0.5);
+        let mut sim = warm_plasma(g, 4, 17);
+        for step in 0..6 {
+            sim.step();
+            let mut wrapped = sim.b.clone();
+            wrapped.wrap_ghosts_periodic();
+            for (name, fresh, stepped) in [
+                ("bx", &wrapped.x, &sim.b.x),
+                ("by", &wrapped.y, &sim.b.y),
+                ("bz", &wrapped.z, &sim.b.z),
+            ] {
+                assert!(
+                    fresh.to_bits() == stepped.to_bits(),
+                    "{name} ghosts stale after step {step}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -246,9 +246,9 @@ fn expected_drop_steps_1x1() -> Golden {
     Golden {
         ranks: vec![RankGolden {
             rank: 0,
-            param_hash: 12409710207420894554,
+            param_hash: 2249056573416132891,
             iterations: 12,
-            loss_bits: 3982021821574105912,
+            loss_bits: 14358249841417160848,
             owned_windows: vec![4, 8, 12, 16],
             accounting: [4, 0, 0, 0, 4],
         }],
@@ -314,9 +314,9 @@ fn expected_ft_kill_restart_off_boundary_1x1() -> Golden {
     Golden {
         ranks: vec![RankGolden {
             rank: 0,
-            param_hash: 5200991214523101596,
+            param_hash: 1911197982707928568,
             iterations: 9,
-            loss_bits: 9770584095586087065,
+            loss_bits: 15012052981146597505,
             owned_windows: vec![4, 8, 16],
             accounting: [3, 0, 0, 1, 4],
         }],

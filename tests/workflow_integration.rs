@@ -1,5 +1,6 @@
 //! Cross-crate integration: the complete in-transit workflow.
 
+use artificial_scientist::cluster::comm::CommWorld;
 use artificial_scientist::core::config::{Placement, WorkflowConfig};
 use artificial_scientist::core::noop::run_noop_consumer;
 use artificial_scientist::core::producer::run_producer;
@@ -132,7 +133,8 @@ fn noop_consumer_measures_the_producer_stream() {
     let (mut rw, mut rr) = open_stream(stream_cfg);
     let (pw, rw) = (pw.remove(0), rw.remove(0));
     let cfg2 = cfg.clone();
-    let producer = std::thread::spawn(move || run_producer(&cfg2, pw, rw));
+    let comm = CommWorld::new(1).into_endpoints().remove(0);
+    let producer = std::thread::spawn(move || run_producer(&cfg2, comm, pw, rw));
     let rad = {
         let rr = rr.remove(0);
         std::thread::spawn(move || run_noop_consumer(rr))
